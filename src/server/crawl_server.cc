@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <mutex>
 #include <new>
+#include <set>
 
 #include "util/log.h"
 
@@ -23,6 +25,34 @@ Status ShmError(const std::string& what, const std::string& name) {
   return InternalError("crawl server: " + what + " for shm object '" + name +
                        "': " + std::strerror(errno));
 }
+
+/// Shm names served by a running CrawlServer in this process. A slab whose
+/// server_pid is this process's own pid is live only if its name is here;
+/// otherwise an earlier process left it behind and the kernel has since
+/// recycled that pid to us.
+class ServedHere {
+ public:
+  static void Add(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(Get().mu_);
+    Get().names_.insert(name);
+  }
+  static void Remove(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(Get().mu_);
+    Get().names_.erase(name);
+  }
+  static bool Contains(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(Get().mu_);
+    return Get().names_.count(name) != 0;
+  }
+
+ private:
+  static ServedHere& Get() {
+    static auto* served = new ServedHere();
+    return *served;
+  }
+  std::mutex mu_;
+  std::set<std::string> names_;
+};
 
 }  // namespace
 
@@ -60,10 +90,12 @@ Status CrawlServer::Start(const ServerOptions& options) {
     ::close(fd);
     if (peek != MAP_FAILED) {
       const auto* old = static_cast<const ShmHeader*>(peek);
-      const bool live = std::memcmp(old->magic, kShmMagic,
+      const bool live = old->alive.load(std::memory_order_acquire) != 0 &&
+                        std::memcmp(old->magic, kShmMagic,
                                     sizeof(kShmMagic)) == 0 &&
-                        old->alive.load(std::memory_order_acquire) != 0 &&
-                        ShmPidAlive(old->server_pid);
+                        ShmPidAlive(old->server_pid) &&
+                        (old->server_pid != ::getpid() ||
+                         ServedHere::Contains(options_.shm_name));
       ::munmap(peek, sizeof(ShmHeader));
       if (live) {
         return FailedPreconditionError(
@@ -112,9 +144,10 @@ Status CrawlServer::Start(const ServerOptions& options) {
   header_->num_shards = store_.num_shards();
   header_->hash_seed = store_.hash_seed();
   header_->heartbeat_us.store(ShmNowUs(), std::memory_order_relaxed);
-  // The publish: clients check alive after validating the magic, so every
-  // field above must be in place before this store.
+  // The publish: clients read no other header field before they see alive,
+  // so every field above must be in place before this store.
   header_->alive.store(1, std::memory_order_release);
+  ServedHere::Add(options_.shm_name);
 
   running_ = true;
   workers_.reserve(options_.num_workers);
@@ -171,6 +204,7 @@ void CrawlServer::Stop() {
   slab_ = nullptr;
   header_ = nullptr;
   ::shm_unlink(options_.shm_name.c_str());
+  ServedHere::Remove(options_.shm_name);
   running_ = false;
   if (!options_.quiet) {
     LABELRW_ILOG("crawl server: stopped (%llu requests served)",
@@ -204,29 +238,31 @@ ServerStats CrawlServer::stats() const {
   return stats;
 }
 
-void CrawlServer::ResetSlot(SessionSlot* slot) {
-  slot->client_pid.store(0, std::memory_order_relaxed);
-  slot->last_active_us.store(0, std::memory_order_relaxed);
-  slot->opcode = kOpNone;
-  // Quiesce the turn counters, then free. Order matters: once state reads
-  // kSlotFree a connecting client may claim the slot, and from that moment
+void CrawlServer::ResetSlot(SessionSlot* slot, bool quiesce) {
+  // Free first: from here on a request the old owner posts is refused as
+  // not admitted. The claim word is cleared last (release), so a connecting
+  // client whose pid CAS reads 0 sees every store above — from that moment
   // every cell belongs to the new session.
-  slot->resp_seq.store(slot->req_seq.load(std::memory_order_relaxed),
-                       std::memory_order_release);
   slot->state.store(kSlotFree, std::memory_order_release);
+  slot->last_active_us.store(0, std::memory_order_relaxed);
+  if (quiesce) {
+    slot->resp_seq.store(slot->req_seq.load(std::memory_order_relaxed),
+                         std::memory_order_release);
+  }
+  slot->client_pid.store(0, std::memory_order_release);
 }
 
 void CrawlServer::ServeControl(uint32_t i) {
   SessionSlot* slot = ShmSlotAt(slab_, i);
   const uint32_t req = slot->req_seq.load(std::memory_order_acquire);
-  const uint32_t opcode = slot->opcode;
+  const uint32_t opcode = slot->opcode.load(std::memory_order_relaxed);
   slot->last_active_us.store(ShmNowUs(), std::memory_order_relaxed);
   requests_served_.fetch_add(1, std::memory_order_relaxed);
 
   if (opcode == kOpGoodbye) {
-    // Fire-and-forget: the client is already gone. ResetSlot hands the
-    // slot back to admission; no response, no wake.
-    ResetSlot(slot);
+    // Fire-and-forget: the client is already gone. ResetSlot retires the
+    // goodbye's turn and hands the slot back to admission; no wake.
+    ResetSlot(slot, /*quiesce=*/true);
     return;
   }
 
@@ -276,11 +312,11 @@ void CrawlServer::ServeFetchBatch(FetchBatch& batch) {
   batch.engine.Reserve(batch.slots.size());
   batch.refs.assign(batch.slots.size(), store::ShardedMappedGraph::RowRef{});
   for (size_t idx = 0; idx < batch.slots.size(); ++idx) {
-    const SessionSlot* slot = ShmSlotAt(slab_, batch.slots[idx]);
-    batch.engine.Add(
-        rw::ShardLocalityKey(store_.ShardOf(slot->user),
-                             static_cast<uint32_t>(slot->user)),
-        static_cast<uint32_t>(idx));
+    const graph::NodeId user = ShmSlotAt(slab_, batch.slots[idx])
+                                   ->user.load(std::memory_order_relaxed);
+    batch.engine.Add(rw::ShardLocalityKey(store_.ShardOf(user),
+                                          static_cast<uint32_t>(user)),
+                     static_cast<uint32_t>(idx));
   }
   batch.engine.SortByLocality();
   const int64_t now_us = ShmNowUs();
@@ -290,7 +326,8 @@ void CrawlServer::ServeFetchBatch(FetchBatch& batch) {
         // sorted order, so they walk warming regions of the owner arrays)
         // and request its offset cells.
         const SessionSlot* slot = ShmSlotAt(slab_, batch.slots[tag]);
-        batch.refs[tag] = store_.Resolve(slot->user);
+        batch.refs[tag] =
+            store_.Resolve(slot->user.load(std::memory_order_relaxed));
         store_.PrefetchRowOffsets(batch.refs[tag]);
       },
       [&](uint32_t tag) { store_.PrefetchRowPayload(batch.refs[tag]); },
@@ -342,27 +379,36 @@ void CrawlServer::ReapPass(int64_t now_us) {
   const int64_t idle_us = options_.idle_timeout_ms * 1'000;
   for (uint32_t i = 0; i < options_.num_slots; ++i) {
     SessionSlot* slot = ShmSlotAt(slab_, i);
-    if (slot->state.load(std::memory_order_acquire) == kSlotFree) continue;
+    // A non-zero pid is an owner, whatever the state: a client that died
+    // between its pid CAS and its state store is reclaimed here too.
+    if (slot->client_pid.load(std::memory_order_acquire) == 0) continue;
     uint32_t zero = 0;
     if (!slot->claimed.compare_exchange_strong(zero, 1,
                                                std::memory_order_acq_rel)) {
       continue;
     }
-    if (slot->state.load(std::memory_order_acquire) != kSlotFree) {
-      const int32_t pid = slot->client_pid.load(std::memory_order_relaxed);
+    // Under the claim the pid is stable: only ResetSlot clears it.
+    const int32_t pid = slot->client_pid.load(std::memory_order_acquire);
+    if (pid != 0) {
       const bool pending =
           slot->req_seq.load(std::memory_order_acquire) !=
           slot->resp_seq.load(std::memory_order_relaxed);
       if (!ShmPidAlive(pid)) {
         // The dead client may have died mid-request; quiescing the turn
-        // counters inside ResetSlot retires that request too.
-        ResetSlot(slot);
+        // counters retires that request too.
+        ResetSlot(slot, /*quiesce=*/true);
         sessions_reaped_dead_.fetch_add(1, std::memory_order_relaxed);
       } else if (idle_us > 0 && !pending &&
+                 slot->state.load(std::memory_order_acquire) ==
+                     kSlotActive &&
                  now_us - slot->last_active_us.load(
                               std::memory_order_relaxed) >
                      idle_us) {
-        ResetSlot(slot);
+        // The owner is alive and may post at any moment, so its turn
+        // counters are left alone: a request posted after the pending
+        // check above stays pending and a worker refuses it (the slot is
+        // no longer Active), rather than reading as answered.
+        ResetSlot(slot, /*quiesce=*/false);
         sessions_reaped_idle_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -397,9 +443,11 @@ void CrawlServer::WorkerLoop(uint32_t worker_index) {
         if (pass == 0 && num_workers > 1) {
           // Peek is unguarded: a stale read only misroutes the preference,
           // never the request (the claimed owner re-reads everything).
+          const graph::NodeId user =
+              slot->user.load(std::memory_order_relaxed);
           const bool preferred =
-              slot->opcode == kOpFetchRecord
-                  ? store_.ShardOf(slot->user) % num_workers == worker_index
+              slot->opcode.load(std::memory_order_relaxed) == kOpFetchRecord
+                  ? store_.ShardOf(user) % num_workers == worker_index
                   : worker_index == 0;
           if (!preferred) continue;
         }
@@ -413,9 +461,9 @@ void CrawlServer::WorkerLoop(uint32_t worker_index) {
           slot->claimed.store(0, std::memory_order_release);
           continue;
         }
-        if (slot->opcode == kOpFetchRecord &&
+        if (slot->opcode.load(std::memory_order_relaxed) == kOpFetchRecord &&
             slot->state.load(std::memory_order_acquire) == kSlotActive &&
-            store_.IsValidNode(slot->user)) {
+            store_.IsValidNode(slot->user.load(std::memory_order_relaxed))) {
           batch.slots.push_back(i);  // claim rides along to the batch pass
         } else {
           ServeControl(i);

@@ -132,7 +132,10 @@ class CrawlServer {
   /// the prefetch pipeline, publishing each response and releasing its
   /// claim. Clears `batch.slots`.
   void ServeFetchBatch(FetchBatch& batch);
-  void ResetSlot(SessionSlot* slot);
+  /// Hands the slot back to admission. `quiesce` also retires any pending
+  /// request (dead client, goodbye); the idle reap leaves it pending so a
+  /// worker refuses it. Caller holds the `claimed` guard.
+  void ResetSlot(SessionSlot* slot, bool quiesce);
 
   ServerOptions options_;
   store::ShardedMappedGraph store_;

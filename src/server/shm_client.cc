@@ -75,6 +75,12 @@ Result<std::unique_ptr<ShmClient>> ShmClient::Connect(
   client->header_ = static_cast<ShmHeader*>(slab);
   ShmHeader* header = client->header_;
 
+  // The daemon publishes its header with the release store of `alive`:
+  // until then the slab may still be zeros (the daemon is initializing) and
+  // no other header field may be read.
+  if (header->alive.load(std::memory_order_acquire) == 0) {
+    return ServerGoneError("at shm '" + shm_name + "' is not alive");
+  }
   if (std::memcmp(header->magic, kShmMagic, sizeof(kShmMagic)) != 0) {
     return InvalidArgumentError("ipc: shm '" + shm_name +
                                 "' is not a labelrw crawl server slab");
@@ -85,8 +91,7 @@ Result<std::unique_ptr<ShmClient>> ShmClient::Connect(
         std::to_string(header->version) + ", this build speaks " +
         std::to_string(kShmProtocolVersion));
   }
-  if (header->alive.load(std::memory_order_acquire) == 0 ||
-      !ShmPidAlive(header->server_pid)) {
+  if (!ShmPidAlive(header->server_pid)) {
     return ServerGoneError("at shm '" + shm_name + "' is not alive");
   }
   if (header->draining.load(std::memory_order_acquire) != 0) {
@@ -101,28 +106,30 @@ Result<std::unique_ptr<ShmClient>> ShmClient::Connect(
                                 "object (corrupt or torn)");
   }
 
-  // Admission: claim any free slot. The last_active stamp must land before
-  // the reaper's next pass can see a fresh handshake slot as idle.
+  // Admission: claim any free slot through its claim word, client_pid
+  // (shm_protocol.h). The pid is in place before the slot leaves kSlotFree,
+  // so the reaper sees a live owner, never a pid of 0 it would take for a
+  // dead one; the last_active stamp lands before the state store too.
+  const auto self = static_cast<int32_t>(::getpid());
   for (uint32_t i = 0; i < header->num_slots; ++i) {
     SessionSlot* slot = ShmSlotAt(slab, i);
-    uint32_t free_state = kSlotFree;
-    if (!slot->state.compare_exchange_strong(free_state, kSlotHandshake,
-                                             std::memory_order_acq_rel)) {
+    int32_t free_pid = 0;
+    if (!slot->client_pid.compare_exchange_strong(free_pid, self,
+                                                  std::memory_order_acq_rel)) {
       continue;
     }
     slot->last_active_us.store(ShmNowUs(), std::memory_order_relaxed);
-    slot->client_pid.store(static_cast<int32_t>(::getpid()),
-                           std::memory_order_release);
+    slot->state.store(kSlotHandshake, std::memory_order_release);
     client->slot_ = slot;
     client->payload_ = ShmPayloadAt(slab, *header, i);
 
-    slot->opcode = kOpHello;
+    slot->opcode.store(kOpHello, std::memory_order_relaxed);
     const Status admitted = client->PostAndWait(options.connect_timeout_ms);
     if (!admitted.ok()) {
       // The hello may still be pending server-side; hand the slot back via
       // goodbye (fire-and-forget works whether or not anyone drains it —
       // the reaper retires our pid's slots once this process exits).
-      slot->opcode = kOpGoodbye;
+      slot->opcode.store(kOpGoodbye, std::memory_order_relaxed);
       slot->req_seq.fetch_add(1, std::memory_order_release);
       header->doorbell.fetch_add(1, std::memory_order_release);
       FutexWakeAll(&header->doorbell);
@@ -148,12 +155,18 @@ Result<std::unique_ptr<ShmClient>> ShmClient::Connect(
 
 ShmClient::~ShmClient() {
   if (slot_ != nullptr) {
-    slot_->opcode = kOpGoodbye;
+    slot_->opcode.store(kOpGoodbye, std::memory_order_relaxed);
     slot_->req_seq.fetch_add(1, std::memory_order_release);
     header_->doorbell.fetch_add(1, std::memory_order_release);
     FutexWakeAll(&header_->doorbell);
   }
   if (slab_ != nullptr) ::munmap(slab_, slab_bytes_);
+}
+
+bool ShmClient::OwnsActiveSlot() const {
+  return slot_->state.load(std::memory_order_acquire) == kSlotActive &&
+         slot_->client_pid.load(std::memory_order_acquire) ==
+             static_cast<int32_t>(::getpid());
 }
 
 bool ShmClient::ServerAlive() const {
@@ -198,13 +211,15 @@ Status ShmClient::Fetch(graph::NodeId u,
   if (slot == nullptr) {
     return FailedPreconditionError("ipc: Fetch on a disconnected session");
   }
-  // Reap guard: if the server retired this session (idle timeout) or a
-  // restarted daemon re-dealt the slot, our writes would land in someone
-  // else's lane. The in-flight-request rule keeps the reaper off a busy
-  // slot, so checking right before the post closes the window.
-  if (slot->state.load(std::memory_order_acquire) != kSlotActive ||
-      slot->client_pid.load(std::memory_order_acquire) !=
-          static_cast<int32_t>(::getpid())) {
+  // Reap guard: if the server retired this session (idle timeout) our
+  // writes would land in a slot that is no longer ours. The idle reaper
+  // skips a slot with a request in flight and leaves a reaped slot's turn
+  // counters alone, so a post that races its reset stays pending and a
+  // worker refuses it (the slot is no longer Active); the same check after
+  // the wait turns that refusal into the reclaimed error. It does not
+  // close the window in which a second session claims the freed slot
+  // before our post lands.
+  if (!OwnsActiveSlot()) {
     slot_ = nullptr;  // lane lost; do not goodbye someone else's slot
     return ServerGoneError("reclaimed this session's slot");
   }
@@ -216,9 +231,16 @@ Status ShmClient::Fetch(graph::NodeId u,
     return ServerGoneError("is draining for shutdown");
   }
 
-  slot->opcode = kOpFetchRecord;
-  slot->user = u;
-  LABELRW_RETURN_IF_ERROR(PostAndWait(options_.request_timeout_ms));
+  slot->opcode.store(kOpFetchRecord, std::memory_order_relaxed);
+  slot->user.store(u, std::memory_order_relaxed);
+  const Status served = PostAndWait(options_.request_timeout_ms);
+  if (!served.ok()) {
+    if (!OwnsActiveSlot()) {
+      slot_ = nullptr;
+      return ServerGoneError("reclaimed this session's slot");
+    }
+    return served;
+  }
 
   const uint32_t n_neighbors = slot->n_neighbors;
   const uint32_t n_labels = slot->n_labels;

@@ -1,7 +1,8 @@
 // ShmClient: one session on a running crawl server (server/shm_protocol.h).
 //
-// Connect() maps the daemon's shm slab, claims a session slot (CAS
-// kSlotFree -> kSlotHandshake), and runs the hello exchange; Fetch() is the
+// Connect() maps the daemon's shm slab, claims a session slot (CAS of its
+// client_pid 0 -> getpid(), then state kSlotHandshake), and runs the hello
+// exchange; Fetch() is the
 // turn-based request/response described in shm_protocol.h. The destructor
 // posts a fire-and-forget goodbye so a cleanly exiting client returns its
 // slot immediately instead of waiting out the reaper.
@@ -78,6 +79,8 @@ class ShmClient {
 
   /// Posts the already-written request cells and waits the turn.
   Status PostAndWait(int64_t timeout_ms);
+  /// True while the slot is still this process's admitted session.
+  bool OwnsActiveSlot() const;
 
   void* slab_ = nullptr;
   uint64_t slab_bytes_ = 0;

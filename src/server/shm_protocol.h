@@ -23,11 +23,23 @@
 // All futex ops go through the *shared* (non-PRIVATE) futex path: the
 // waiters live in different processes.
 //
+// Admission: `client_pid` is the slot's claim word. A connecting client
+// CASes it 0 -> getpid(), stamps `last_active_us`, and only then stores
+// state = kSlotHandshake (release) and posts its hello. The owner is thus
+// visible before the slot leaves kSlotFree, so the reaper never mistakes a
+// connecting session for a dead one. Reclaiming a slot runs the other way:
+// state goes back to kSlotFree first and `client_pid` is cleared last
+// (release), so a pid that reads 0 always means a free, reset slot.
+//
 // Crash safety is asymmetric by design. A dead client is detected by the
-// server's reaper (`kill(pid, 0)` == ESRCH) and its slot reclaimed; a dead
-// server is detected by clients via the `alive` flag + server pid liveness
-// during their wait ticks, surfacing as kUnavailable — the one code
-// osn::RetryPolicy retries.
+// server's reaper and its slot reclaimed: the reaper visits every slot
+// whose `client_pid` is non-zero and reclaims it when that pid vanished
+// (`kill(pid, 0)` == ESRCH), whatever the slot's state — a client that dies
+// between its pid CAS and its state store is reclaimed too. The idle
+// timeout applies only to kSlotActive slots with no request in flight. A
+// dead server is detected by clients via the `alive` flag + server pid
+// liveness during their wait ticks, surfacing as kUnavailable — the one
+// code osn::RetryPolicy retries.
 
 #ifndef LABELRW_SERVER_SHM_PROTOCOL_H_
 #define LABELRW_SERVER_SHM_PROTOCOL_H_
@@ -55,7 +67,7 @@ inline constexpr uint32_t kShmProtocolVersion = 2;
 
 /// SessionSlot::state values.
 enum SlotState : uint32_t {
-  kSlotFree = 0,       // claimable by a connecting client
+  kSlotFree = 0,       // no admitted session (claimable once client_pid is 0)
   kSlotHandshake = 1,  // client claimed it, admission pending
   kSlotActive = 2,     // admitted; FetchRecord requests allowed
 };
@@ -112,12 +124,16 @@ struct alignas(64) SessionSlot {
   /// Single-owner guard shared by workers and the reaper: whoever CASes
   /// 0 -> 1 owns the slot's server-side processing until they store 0.
   std::atomic<uint32_t> claimed{0};
+  /// The claim word: 0 while the slot is free, else the owning client's
+  /// pid. Set only by the client's CAS from 0, cleared only by ResetSlot.
   std::atomic<int32_t> client_pid{0};
   std::atomic<int64_t> last_active_us{0};
 
-  // Request cells (written by the client before req_seq++).
-  uint32_t opcode = kOpNone;
-  graph::NodeId user = 0;
+  // Request cells (written by the client before req_seq++). Atomic only
+  // because a worker may peek them unguarded to pick its preferred slots;
+  // req_seq's release/acquire publishes them, so every access is relaxed.
+  std::atomic<uint32_t> opcode{kOpNone};
+  std::atomic<graph::NodeId> user{0};
 
   // Response cells (written by a worker before resp_seq = req_seq).
   int32_t status_code = 0;  // util StatusCode numeric value
@@ -126,6 +142,12 @@ struct alignas(64) SessionSlot {
   uint32_t n_labels = 0;     // Labels right after the neighbors
 };
 
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+                  sizeof(std::atomic<graph::NodeId>) == sizeof(graph::NodeId) &&
+                  alignof(std::atomic<graph::NodeId>) ==
+                      alignof(graph::NodeId),
+              "the request cells must keep the plain fields' size and "
+              "offset: the slot layout is shared between processes");
 static_assert(sizeof(SessionSlot) % 64 == 0,
               "SessionSlot must stay cache-line sized: false sharing between "
               "adjacent sessions would serialize independent clients");

@@ -4,13 +4,18 @@
 // bit-identity gate, session admission and slot reclamation after a client
 // crash, and server-restart recovery through the OsnClient retry path.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,9 +41,12 @@ namespace {
 using testing::RandomConnectedGraph;
 using testing::RandomLabels;
 
+/// Unique-per-process store paths, like ShmName below: two copies of this
+/// binary running at once (say a Release and a TSan build) would otherwise
+/// truncate each other's mmap'd stores.
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() /
-          (std::string("labelrw_ipc_test_") + name))
+          ("labelrw_ipc_test_" + std::to_string(::getpid()) + "_" + name))
       .string();
 }
 
@@ -109,6 +117,61 @@ TEST(ShmClient, ConnectWithoutServerIsUnavailable) {
   const auto result = server::ShmClient::Connect(ShmName("nosrv"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+}
+
+/// Creates shm object `name` of `bytes` zero bytes, as a daemon's slab is
+/// between its shm_open and its header publish, and maps it.
+void* CreateZeroedShm(const std::string& name, size_t bytes) {
+  const int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  if (fd < 0) return nullptr;
+  void* base = ::ftruncate(fd, static_cast<off_t>(bytes)) == 0
+                   ? ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                            MAP_SHARED, fd, 0)
+                   : MAP_FAILED;
+  ::close(fd);
+  return base == MAP_FAILED ? nullptr : base;
+}
+
+// A daemon mid-start has created its slab but not yet published the
+// header: connecting then is "no server yet" (retryable kUnavailable), not
+// a foreign object — the reconnect path must keep trying.
+TEST(ShmClient, ConnectToUnpublishedSlabIsUnavailable) {
+  const std::string shm = ShmName("unpublished");
+  const size_t bytes = 4 * server::kShmSlotArrayOffset;
+  void* slab = CreateZeroedShm(shm, bytes);
+  ASSERT_NE(slab, nullptr);
+  const auto result = server::ShmClient::Connect(shm);
+  ::munmap(slab, bytes);
+  ::shm_unlink(shm.c_str());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+      << result.status().ToString();
+}
+
+// A slab left by a crashed process whose pid the kernel later handed to
+// this process reads as "alive with a live pid"; it is still stale, since
+// no server in this process serves it, and Start must reclaim it.
+TEST(CrawlServer, StaleSlabWithRecycledOwnPidIsReclaimed) {
+  const ServedStore served("recycled", 100, 80, 1);
+  const std::string shm = ShmName("recycled");
+  void* stale = CreateZeroedShm(shm, server::kShmSlotArrayOffset);
+  ASSERT_NE(stale, nullptr);
+  auto* header = new (stale) server::ShmHeader();
+  std::memcpy(header->magic, server::kShmMagic, sizeof(server::kShmMagic));
+  header->version = server::kShmProtocolVersion;
+  header->server_pid = static_cast<int32_t>(::getpid());
+  header->alive.store(1);
+  ::munmap(stale, server::kShmSlotArrayOffset);
+
+  server::CrawlServer crawl_server;
+  ASSERT_OK(crawl_server.Start(served.Options(shm)));
+  ASSERT_OK_AND_ASSIGN(const std::unique_ptr<server::ShmClient> client,
+                       server::ShmClient::Connect(shm));
+  EXPECT_EQ(client->info().num_nodes, served.graph().num_nodes());
+  // A name this process does serve is still refused to a second server.
+  server::CrawlServer second;
+  EXPECT_EQ(second.Start(served.Options(shm)).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ShmClient, ServesExactRowsAndRejectsUnknownIds) {
@@ -199,6 +262,97 @@ TEST(CrawlServer, DeadClientSlotIsReaped) {
       [&] { return crawl_server.stats().sessions_reaped_dead >= 1; }))
       << "reaper never reclaimed the dead client's slot";
   // The reclaimed slot admits a fresh session.
+  ASSERT_OK_AND_ASSIGN(const std::unique_ptr<server::ShmClient> next,
+                       server::ShmClient::Connect(shm));
+  EXPECT_TRUE(next->ServerAlive());
+}
+
+// Admission under churn with the reaper live: many short sessions from
+// several threads claim, use and release slots while worker 0 reaps after
+// every scan. A connecting client must never look dead to the reaper, so
+// every Connect succeeds and no live session is reaped as dead.
+TEST(CrawlServer, AdmissionChurnNeverReapsALiveClient) {
+  const ServedStore served("churn", 300, 500, 2);
+  const std::string shm = ShmName("churn");
+  server::ServerOptions options = served.Options(shm);
+  options.num_workers = 2;
+  server::CrawlServer crawl_server;
+  ASSERT_OK(crawl_server.Start(options));
+
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 300;
+  std::atomic<int> failures{0};
+  std::vector<std::string> first_error(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<graph::NodeId> neighbors;
+      std::vector<graph::Label> labels;
+      int64_t degree = 0;
+      for (int c = 0; c < kCycles; ++c) {
+        auto session = server::ShmClient::Connect(shm);
+        Status status = session.status();
+        if (session.ok()) {
+          const auto u = static_cast<graph::NodeId>(
+              (t * kCycles + c) % served.graph().num_nodes());
+          status = (*session)->Fetch(u, &neighbors, &labels, &degree);
+          if (status.ok() && degree != served.graph().degree(u)) {
+            status = InternalError("wrong degree for node " +
+                                   std::to_string(u));
+          }
+        }
+        if (!status.ok()) {
+          failures.fetch_add(1);
+          if (first_error[t].empty()) first_error[t] = status.ToString();
+        }
+      }  // each session is dropped (goodbye) before the next connect
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::string errors;
+  for (const std::string& e : first_error) {
+    if (!e.empty()) errors += e + "\n";
+  }
+  EXPECT_EQ(failures.load(), 0) << errors;
+  EXPECT_EQ(crawl_server.stats().sessions_reaped_dead, 0u);
+}
+
+// A client that dies after its pid claim but before it moves the slot out
+// of kSlotFree still owns the slot: the reaper must reclaim it by pid
+// liveness, or that slot is lost to admission for the daemon's lifetime.
+TEST(CrawlServer, ClientDeadMidClaimIsReaped) {
+  const ServedStore served("midclaim", 100, 80, 1);
+  const std::string shm = ShmName("midclaim");
+  server::ServerOptions options = served.Options(shm);
+  options.num_slots = 1;  // the half-claimed slot is the ONLY slot
+  server::CrawlServer crawl_server;
+  ASSERT_OK(crawl_server.Start(options));
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(child, &wait_status, 0), child);  // pid now gone
+
+  const int fd = ::shm_open(shm.c_str(), O_RDWR, 0);
+  ASSERT_GE(fd, 0);
+  const size_t bytes =
+      server::kShmSlotArrayOffset + sizeof(server::SessionSlot);
+  void* slab =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ::close(fd);
+  ASSERT_NE(slab, MAP_FAILED);
+  server::SessionSlot* slot = server::ShmSlotAt(slab, 0);
+  ASSERT_EQ(slot->state.load(), server::kSlotFree);
+  int32_t free_pid = 0;
+  ASSERT_TRUE(slot->client_pid.compare_exchange_strong(
+      free_pid, static_cast<int32_t>(child)));
+  ::munmap(slab, bytes);
+
+  ASSERT_TRUE(WaitFor(
+      [&] { return crawl_server.stats().sessions_reaped_dead >= 1; }))
+      << "reaper never reclaimed the half-claimed slot";
   ASSERT_OK_AND_ASSIGN(const std::unique_ptr<server::ShmClient> next,
                        server::ShmClient::Connect(shm));
   EXPECT_TRUE(next->ServerAlive());
