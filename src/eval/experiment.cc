@@ -91,12 +91,12 @@ Status SweepConfig::Validate() const {
 
 namespace {
 
-/// Per-worker reusable buffers: each per-rep API resets them in O(1)
-/// instead of allocating fresh O(|V|) bitmaps (reps x sizes x algorithms
-/// times).
+/// Per-worker reusable buffers: each per-rep LocalGraphApi resets its
+/// crawl-cache stamps in O(1) instead of allocating a fresh O(|V|) array
+/// (reps x sizes x algorithms times). OsnClient needs none: its cache
+/// grows with the users a rep touches.
 struct WorkerScratch {
   osn::TouchedSet touched;
-  osn::TouchedSet touched_full;
 };
 
 /// The access stack of one task (one rep). Exactly one of `local` (the v1
@@ -885,7 +885,7 @@ Result<SweepResult> RunTransportSweep(const graph::Graph& graph,
         "transport's wire state is not serialized");
   }
   SweepDriver driver;
-  driver.make_api = [&factory](WorkerScratch& scratch) {
+  driver.make_api = [&factory](WorkerScratch&) {
     TaskApi task;
     Result<std::unique_ptr<osn::Transport>> transport = factory();
     if (!transport.ok()) {
@@ -896,9 +896,7 @@ Result<SweepResult> RunTransportSweep(const graph::Graph& graph,
     // The default-scenario client stack: accounting-identical to the direct
     // LocalGraphApi path (scenario_test.cc), so the transport is the only
     // variable between this sweep and RunSweep.
-    task.client = std::make_unique<osn::OsnClient>(
-        *task.owned, osn::CostModel(), osn::FaultPolicy(), /*budget=*/-1,
-        &scratch.touched, &scratch.touched_full);
+    task.client = std::make_unique<osn::OsnClient>(*task.owned);
     task.api = task.client.get();
     task.prefetch = task.api->FastGraphView();
     return task;
@@ -946,7 +944,7 @@ Result<SweepResult> RunScenarioSweep(const graph::Graph& graph,
   driver.degrade_on_outage =
       scenario.has_chaos() || scenario.retry.call_deadline_us > 0;
   driver.make_api = [&graph, &labels, &scenario,
-                     &static_transport](WorkerScratch& scratch) {
+                     &static_transport](WorkerScratch&) {
     TaskApi task;
     const osn::Transport* transport = &static_transport;
     if (scenario.needs_dynamic_transport()) {
@@ -962,8 +960,7 @@ Result<SweepResult> RunScenarioSweep(const graph::Graph& graph,
       transport = task.chaos.get();
     }
     task.client = std::make_unique<osn::OsnClient>(
-        *transport, scenario.cost_model, scenario.faults, /*budget=*/-1,
-        &scratch.touched, &scratch.touched_full);
+        *transport, scenario.cost_model, scenario.faults);
     task.client->ConfigureRateLimit(scenario.rate_limit);
     task.client->ConfigureRetry(scenario.retry);
     if (task.dynamic != nullptr) {

@@ -46,19 +46,14 @@ Status RetryPolicy::Validate() const {
 }
 
 OsnClient::OsnClient(const Transport& transport, CostModel cost_model,
-                     FaultPolicy faults, int64_t budget, TouchedSet* scratch,
-                     TouchedSet* scratch_full)
+                     FaultPolicy faults, int64_t budget)
     : transport_(transport),
       cost_model_(cost_model),
       faults_(faults),
       budget_(budget),
       config_status_(faults.Validate()),
       fault_rng_(faults.seed),
-      retry_rng_(RetryPolicy().jitter_seed),
-      first_page_(scratch != nullptr ? scratch : &owned_first_page_),
-      full_(scratch_full != nullptr ? scratch_full : &owned_full_) {
-  first_page_->Reset(transport.num_users());
-  full_->Reset(transport.num_users());
+      retry_rng_(RetryPolicy().jitter_seed) {
   // Seed the effective shape from the CostModel, overridden by anything the
   // transport advertises at t=0 (no drift counted for the initial shape).
   const ApiShape shape = transport.CurrentShape();
@@ -107,7 +102,7 @@ void OsnClient::RefreshShape() {
     // A page-size change invalidates every outstanding pagination cursor:
     // partial per-user progress was measured in old-page units. Fully
     // cached lists and cached profiles stay valid (the data is local).
-    partial_.clear();
+    cache_.ForEach([](PageCache::Entry& e) { e.partial = 0; });
   }
   if (batch != effective_batch_size_) {
     effective_batch_size_ = batch;
@@ -261,24 +256,25 @@ Status OsnClient::FetchChargedCall() {
   return UnavailableError("transient OSN error: retry budget exhausted");
 }
 
-int64_t OsnClient::FetchedPages(graph::NodeId user,
-                                int64_t total_pages) const {
-  if (full_->Test(user)) return total_pages;
-  const auto it = partial_.find(user);
-  if (it != partial_.end()) return it->second;
-  return first_page_->Test(user) ? 1 : 0;
+int64_t OsnClient::FetchedPages(const PageCache::Entry& entry,
+                                int64_t total_pages) {
+  if (entry.full) return total_pages;
+  if (entry.partial > 0) return entry.partial;
+  return entry.profile ? 1 : 0;
 }
 
-void OsnClient::RecordFetched(graph::NodeId user, int64_t pages_now,
+void OsnClient::RecordFetched(PageCache::Entry& entry, int64_t pages_now,
                               int64_t total_pages) {
   if (pages_now <= 0) return;
-  if (!first_page_->TestAndSet(user)) ++distinct_fetched_;
+  if (!entry.profile) {
+    entry.profile = true;
+    ++distinct_fetched_;
+  }
   if (pages_now >= total_pages) {
-    full_->TestAndSet(user);
-    partial_.erase(user);
+    entry.full = true;
+    entry.partial = 0;
   } else if (pages_now > 1) {
-    auto& entry = partial_[user];
-    entry = std::max(entry, pages_now);
+    entry.partial = std::max(entry.partial, pages_now);
   }
 }
 
@@ -286,8 +282,11 @@ Status OsnClient::ChargeFetch(graph::NodeId user, int64_t degree,
                               bool need_full) {
   const int64_t total_pages = PagesForFull(degree);
   const int64_t need = need_full ? total_pages : 1;
+  // One probe: the charge below never touches the cache, so the entry
+  // stays valid for the RecordFetched calls.
+  PageCache::Entry& entry = cache_.Upsert(user);
   const int64_t cached =
-      cost_model_.cache_fetches ? FetchedPages(user, total_pages) : 0;
+      cost_model_.cache_fetches ? FetchedPages(entry, total_pages) : 0;
   const int64_t pages_to_fetch = need - cached;
   if (pages_to_fetch > 0) {
     if (!PerCallAccounting()) {
@@ -305,12 +304,12 @@ Status OsnClient::ChargeFetch(graph::NodeId user, int64_t degree,
         ++stats_.pages_fetched;
         // Persist progress page by page so an abort mid-list (budget or
         // retry exhaustion) keeps the prefix cached, like a real crawler.
-        RecordFetched(user, cached + p + 1, total_pages);
+        RecordFetched(entry, cached + p + 1, total_pages);
       }
       return Status::Ok();
     }
   }
-  RecordFetched(user, std::max(cached, need), total_pages);
+  RecordFetched(entry, std::max(cached, need), total_pages);
   return Status::Ok();
 }
 
@@ -319,10 +318,11 @@ Status OsnClient::CheckAvailable(graph::NodeId user) {
   ++stats_.denied_requests;
   // The probe that discovers a private profile costs a call once; the
   // verdict is cached like a page (denied users never become available, so
-  // the flag can share the first-page set without ambiguity).
-  if (!(cost_model_.cache_fetches && first_page_->Test(user))) {
+  // the flag can share the profile entry without ambiguity).
+  const PageCache::Entry* cached = cache_.Find(user);
+  if (!(cost_model_.cache_fetches && cached != nullptr && cached->profile)) {
     LABELRW_RETURN_IF_ERROR(FetchChargedCall());
-    first_page_->TestAndSet(user);
+    cache_.Upsert(user).profile = true;
   }
   return PermissionDeniedError("user profile is private or deleted");
 }
@@ -396,15 +396,16 @@ Result<OsnClient::NeighborPage> OsnClient::FetchNeighborsPage(
         "FetchNeighborsPage: pagination disabled, cursor must be 0");
   }
 
+  PageCache::Entry& entry = cache_.Upsert(user);
   const int64_t cached =
-      cost_model_.cache_fetches ? FetchedPages(user, total_pages) : 0;
+      cost_model_.cache_fetches ? FetchedPages(entry, total_pages) : 0;
   if (page_idx >= cached) {
     LABELRW_RETURN_IF_ERROR(FetchChargedCall());
     ++stats_.pages_fetched;
     // Cache state only grows for contiguous-from-0 access; an out-of-order
     // page fetch is served and charged but not remembered.
-    if (page_idx == FetchedPages(user, total_pages)) {
-      RecordFetched(user, page_idx + 1, total_pages);
+    if (page_idx == FetchedPages(entry, total_pages)) {
+      RecordFetched(entry, page_idx + 1, total_pages);
     }
   }
 
@@ -448,9 +449,12 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
   std::vector<size_t> to_fetch;  // indices into users/records
   std::unordered_set<graph::NodeId> counted;
   for (size_t i = 0; i < users.size(); ++i) {
-    if (cost_model_.cache_fetches &&
-        (first_page_->Test(users[i]) || !counted.insert(users[i]).second)) {
-      continue;
+    if (cost_model_.cache_fetches) {
+      const PageCache::Entry* cached = cache_.Find(users[i]);
+      if ((cached != nullptr && cached->profile) ||
+          !counted.insert(users[i]).second) {
+        continue;
+      }
     }
     to_fetch.push_back(i);
   }
@@ -469,12 +473,13 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
         std::min(to_fetch.size(), start + static_cast<size_t>(batch));
     for (size_t j = start; j < end; ++j) {
       const graph::NodeId user = users[to_fetch[j]];
+      PageCache::Entry& entry = cache_.Upsert(user);
       if (IsUnavailableUser(user)) {
         // Cache the denied verdict without counting a served profile,
         // exactly like pass 3 does.
-        first_page_->TestAndSet(user);
+        entry.profile = true;
       } else {
-        RecordFetched(user, 1, PagesForFull(records[to_fetch[j]].degree));
+        RecordFetched(entry, 1, PagesForFull(records[to_fetch[j]].degree));
       }
     }
   }
@@ -484,9 +489,10 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
     const graph::NodeId user = users[i];
     UserView view;
     view.id = user;
+    PageCache::Entry& entry = cache_.Upsert(user);
     if (IsUnavailableUser(user)) {
       ++stats_.denied_requests;
-      first_page_->TestAndSet(user);  // cache the verdict, not the user
+      entry.profile = true;  // cache the verdict, not the user
       views.push_back(view);
       continue;
     }
@@ -495,8 +501,8 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
     // The round-trip above already paid for page 0 (whether or not caching
     // is on), so only the friend-list tail pages remain to charge.
     const int64_t already = std::max<int64_t>(
-        cost_model_.cache_fetches ? FetchedPages(user, total_pages) : 1, 1);
-    RecordFetched(user, already, total_pages);
+        cost_model_.cache_fetches ? FetchedPages(entry, total_pages) : 1, 1);
+    RecordFetched(entry, already, total_pages);
     const int64_t tail = total_pages - already;
     if (tail > 0 && !PerCallAccounting()) {
       const int64_t cost = tail * cost_model_.page_cost;
@@ -509,10 +515,10 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
       for (int64_t t = 0; t < tail; ++t) {
         LABELRW_RETURN_IF_ERROR(FetchChargedCall());
         ++stats_.pages_fetched;
-        RecordFetched(user, already + t + 1, total_pages);
+        RecordFetched(entry, already + t + 1, total_pages);
       }
     }
-    RecordFetched(user, total_pages, total_pages);
+    RecordFetched(entry, total_pages, total_pages);
     view.available = true;
     view.degree = record.degree;
     view.neighbors = record.neighbors;
@@ -537,14 +543,15 @@ Status ReadRngState(util::ByteReader& r, Rng* rng) {
 
 // Cache membership is written as an ascending id list so the serialized
 // bytes are a deterministic function of the cache contents.
-void WriteTouched(util::ByteWriter& w, const TouchedSet& set) {
-  std::vector<int64_t> ids;
-  set.ForEach([&ids](int64_t id) { ids.push_back(id); });
+void WriteIds(util::ByteWriter& w, std::vector<graph::NodeId>& ids) {
+  std::sort(ids.begin(), ids.end());
   w.U64(ids.size());
-  for (const int64_t id : ids) w.I64(id);
+  for (const graph::NodeId id : ids) w.I64(id);
 }
 
-Status ReadTouched(util::ByteReader& r, TouchedSet* set, int64_t num_users) {
+/// Reads one id list, setting `flag` on each listed user's entry.
+Status ReadIds(util::ByteReader& r, PageCache& cache,
+               bool PageCache::Entry::*flag, int64_t num_users) {
   uint64_t count = 0;
   LABELRW_RETURN_IF_ERROR(r.U64(&count));
   for (uint64_t i = 0; i < count; ++i) {
@@ -553,7 +560,7 @@ Status ReadTouched(util::ByteReader& r, TouchedSet* set, int64_t num_users) {
     if (id < 0 || id >= num_users) {
       return DataLossError("client checkpoint: cached user id out of range");
     }
-    set->TestAndSet(id);
+    cache.Upsert(static_cast<graph::NodeId>(id)).*flag = true;
   }
   return Status::Ok();
 }
@@ -591,10 +598,16 @@ void OsnClient::SaveState(util::ByteWriter& w) const {
     w.U64(limiter.window.size());
     for (const int64_t t : limiter.window) w.I64(t);
   }
-  WriteTouched(w, *first_page_);
-  WriteTouched(w, *full_);
-  std::vector<std::pair<graph::NodeId, int64_t>> partial(partial_.begin(),
-                                                         partial_.end());
+  std::vector<graph::NodeId> profile;
+  std::vector<graph::NodeId> full;
+  std::vector<std::pair<graph::NodeId, int64_t>> partial;
+  cache_.ForEach([&](const PageCache::Entry& e) {
+    if (e.profile) profile.push_back(e.user);
+    if (e.full) full.push_back(e.user);
+    if (e.partial > 0) partial.emplace_back(e.user, e.partial);
+  });
+  WriteIds(w, profile);
+  WriteIds(w, full);
   std::sort(partial.begin(), partial.end());
   w.U64(partial.size());
   for (const auto& [user, pages] : partial) {
@@ -660,11 +673,11 @@ Status OsnClient::RestoreState(util::ByteReader& r) {
         "rate limit configured");
   }
   const int64_t num_users = transport_.num_users();
-  first_page_->Reset(num_users);
-  full_->Reset(num_users);
-  LABELRW_RETURN_IF_ERROR(ReadTouched(r, first_page_, num_users));
-  LABELRW_RETURN_IF_ERROR(ReadTouched(r, full_, num_users));
-  partial_.clear();
+  cache_.Clear();
+  LABELRW_RETURN_IF_ERROR(
+      ReadIds(r, cache_, &PageCache::Entry::profile, num_users));
+  LABELRW_RETURN_IF_ERROR(
+      ReadIds(r, cache_, &PageCache::Entry::full, num_users));
   uint64_t partial_count = 0;
   LABELRW_RETURN_IF_ERROR(r.U64(&partial_count));
   for (uint64_t i = 0; i < partial_count; ++i) {
@@ -675,7 +688,7 @@ Status OsnClient::RestoreState(util::ByteReader& r) {
     if (user < 0 || user >= num_users || pages <= 0) {
       return DataLossError("client checkpoint: bad partial-pagination entry");
     }
-    partial_[user] = pages;
+    cache_.Upsert(static_cast<graph::NodeId>(user)).partial = pages;
   }
   return Status::Ok();
 }

@@ -27,12 +27,11 @@
 #define LABELRW_OSN_CLIENT_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "osn/api.h"
+#include "osn/page_cache.h"
 #include "osn/sim_clock.h"
-#include "osn/touched_set.h"
 #include "osn/transport.h"
 #include "util/serialize.h"
 
@@ -118,17 +117,13 @@ struct ClientStats {
 class OsnClient final : public OsnApi {
  public:
   /// `transport` must outlive the client. `budget` < 0 = unlimited.
-  /// `scratch` / `scratch_full`, when given, must outlive the client and
-  /// let sweep-style callers reuse cache bitmaps across sessions (reset in
-  /// O(1) at construction, exactly like LocalGraphApi's scratch).
+  /// Construction is O(1) whatever the graph size: the crawler cache starts
+  /// empty and grows with the users the session touches.
   explicit OsnClient(const Transport& transport,
                      CostModel cost_model = CostModel(),
-                     FaultPolicy faults = FaultPolicy(), int64_t budget = -1,
-                     TouchedSet* scratch = nullptr,
-                     TouchedSet* scratch_full = nullptr);
+                     FaultPolicy faults = FaultPolicy(), int64_t budget = -1);
 
-  // Non-copyable/movable: the touched-set pointers may alias the owned
-  // members.
+  // Non-copyable: a session is one crawl's ledger.
   OsnClient(const OsnClient&) = delete;
   OsnClient& operator=(const OsnClient&) = delete;
 
@@ -288,12 +283,14 @@ class OsnClient final : public OsnApi {
   /// kRateLimited (free of charge and quota) with last_retry_after_us_ set.
   Status AdmitWireCall();
 
-  /// Contiguously-cached page count of `user` (0 = nothing cached).
-  int64_t FetchedPages(graph::NodeId user, int64_t total_pages) const;
+  /// Contiguously-cached page count of `entry`'s user (0 = nothing
+  /// cached) when its full list is `total_pages` long.
+  static int64_t FetchedPages(const PageCache::Entry& entry,
+                              int64_t total_pages);
 
-  /// Marks `pages_now` contiguous pages of `user` as fetched and maintains
-  /// the distinct-user count. Idempotent.
-  void RecordFetched(graph::NodeId user, int64_t pages_now,
+  /// Marks `pages_now` contiguous pages of `entry`'s user as fetched and
+  /// maintains the distinct-user count. Idempotent.
+  void RecordFetched(PageCache::Entry& entry, int64_t pages_now,
                      int64_t total_pages);
 
   /// Charges one successful page/round-trip fetch, simulating transient
@@ -337,13 +334,7 @@ class OsnClient final : public OsnApi {
   int64_t distinct_fetched_ = 0;
   ClientStats stats_;
 
-  TouchedSet owned_first_page_;  // used iff no external scratch
-  TouchedSet owned_full_;
-  TouchedSet* first_page_;  // profile (page 0) cached
-  TouchedSet* full_;        // all pages cached
-  /// Users mid-pagination: contiguous pages fetched (only entries with
-  /// 1 < pages < PagesForFull live here).
-  std::unordered_map<graph::NodeId, int64_t> partial_;
+  PageCache cache_;
 };
 
 }  // namespace labelrw::osn

@@ -7,6 +7,9 @@
 // gigabytes through the allocator. An epoch-stamped uint32 array makes a
 // reset O(1) (bump the epoch; all stale stamps become "absent") and lets a
 // worker thread reuse one backing buffer across every rep it executes.
+//
+// OsnClient does not use it: its crawl cache (osn/page_cache.h) is sized to
+// the users a session touched, not to the graph.
 
 #ifndef LABELRW_OSN_TOUCHED_SET_H_
 #define LABELRW_OSN_TOUCHED_SET_H_
@@ -63,16 +66,6 @@ class TouchedSet {
   }
 
   int64_t capacity() const { return static_cast<int64_t>(stamps_.size()); }
-
-  /// Visits every present id in ascending order. Used by the checkpoint
-  /// layer to serialize cache membership; ascending order makes the
-  /// serialized bytes deterministic.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < stamps_.size(); ++i) {
-      if (stamps_[i] == epoch_) fn(static_cast<int64_t>(i));
-    }
-  }
 
  private:
   std::vector<uint32_t> stamps_;

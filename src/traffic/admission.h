@@ -1,8 +1,8 @@
 // Admission control for the multi-tenant traffic engine.
 //
 // A TrafficEngine slot pool holds at most max_in_flight concurrently
-// crawling sessions (each active session pins two TouchedSet bitmaps sized
-// to the backing graph — ~8 MB per slot on a 1M-node store — so the slot
+// crawling sessions (each active session holds its client's crawl cache —
+// one entry per user it touched — and its estimator state, so the slot
 // count, not the tenant count, bounds the engine's working set). Arrivals
 // that find every slot busy wait in per-priority FIFO queues up to
 // max_queue_depth deep; beyond that the overflow policy decides who loses:

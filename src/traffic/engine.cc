@@ -123,9 +123,8 @@ Status TrafficEngine::BuildStack(Slot& slot, int64_t tenant,
     slot.chaos = std::make_unique<osn::ChaosTransport>(*wire, scenario.chaos);
     wire = slot.chaos.get();
   }
-  slot.client = std::make_unique<osn::OsnClient>(
-      *wire, scenario.cost_model, scenario.faults, /*budget=*/-1,
-      &slot.scratch, &slot.scratch_full);
+  slot.client = std::make_unique<osn::OsnClient>(*wire, scenario.cost_model,
+                                                 scenario.faults);
   if (scenario.retry.enabled()) slot.client->ConfigureRetry(scenario.retry);
   const osn::RateLimitPolicy& rl = scenario.rate_limit;
   if (rl.enabled() && !buckets_.empty()) {

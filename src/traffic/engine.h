@@ -44,7 +44,6 @@
 #include "osn/chaos.h"
 #include "osn/client.h"
 #include "osn/scenario.h"
-#include "osn/touched_set.h"
 #include "osn/transport.h"
 #include "traffic/admission.h"
 #include "traffic/event_loop.h"
@@ -196,11 +195,6 @@ class TrafficEngine {
     std::unique_ptr<osn::ChaosTransport> chaos;
     std::unique_ptr<osn::OsnClient> client;
     std::unique_ptr<estimators::EstimatorSession> session;
-    /// Crawl-cache bitmaps reused across every session this slot hosts
-    /// (~8 MB a pair on a 1M-node store — the reason the slot pool, not
-    /// the tenant count, bounds memory).
-    osn::TouchedSet scratch;
-    osn::TouchedSet scratch_full;
   };
 
   Status Init();

@@ -4,7 +4,7 @@
 // A tenant is one logical customer of the estimation service. Its dynamic
 // state is deliberately tiny — an RNG, three LogHistograms, and a dozen
 // counters, ~5 KB — because the engine carries 10,000 of them; everything
-// heavy (TouchedSet bitmaps, crawl caches) lives in the bounded in-flight
+// heavy (crawl caches, estimator state) lives in the bounded in-flight
 // slot pool instead (traffic/admission.h).
 //
 // Telemetry definitions (all on the simulated timeline):

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "estimators/estimator.h"
 #include "osn/local_api.h"
 #include "tests/test_util.h"
@@ -407,6 +411,358 @@ TEST_F(OsnClientTest, PriorsMatchTransport) {
   EXPECT_EQ(priors.num_nodes, 6);
   EXPECT_EQ(priors.num_edges, 6);
   EXPECT_EQ(priors.max_degree, 5);
+}
+
+// ---------------------------------------------------------------------------
+// The crawler cache (which pages of which users a session already paid
+// for), exercised through the public surface only: charges, distinct-user
+// counts, and the checkpoint bytes it serializes into.
+
+/// A Transport over LocalGraphApi whose advertised page size the test can
+/// change mid-crawl (0 = no override), to drive ApiShape drift.
+class ShapeShiftingTransport final : public Transport {
+ public:
+  explicit ShapeShiftingTransport(const LocalGraphApi& inner)
+      : inner_(inner) {}
+  Result<UserRecord> FetchRecord(graph::NodeId user) const override {
+    return inner_.FetchRecord(user);
+  }
+  Result<graph::NodeId> SampleSeed(Rng& rng) const override {
+    return inner_.SampleSeed(rng);
+  }
+  int64_t num_users() const override { return inner_.num_users(); }
+  GraphPriors TransportPriors() const override {
+    return inner_.TransportPriors();
+  }
+  ApiShape CurrentShape() const override { return {page_size, 0}; }
+
+  int64_t page_size = 0;
+
+ private:
+  const LocalGraphApi& inner_;
+};
+
+std::string SavedState(const OsnClient& client) {
+  util::ByteWriter w;
+  client.SaveState(w);
+  return w.TakeBuffer();
+}
+
+/// Restores `bytes` into `fresh` and returns what it serializes back to.
+std::string RoundTrip(const std::string& bytes, OsnClient& fresh) {
+  util::ByteReader r(bytes);
+  EXPECT_OK(fresh.RestoreState(r));
+  return SavedState(fresh);
+}
+
+TEST_F(OsnClientTest, PaginatedListGoesPartialThenFull) {
+  CostModel model;
+  model.page_size = 2;
+  OsnClient client(transport_, model);
+  // Node 0: degree 5 -> 3 pages. Page 0, then page 1: partial at 2 pages.
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 0).ok());
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 2).ok());
+  EXPECT_EQ(client.api_calls(), 2);
+  // Cached pages and the profile are free.
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 0).ok());
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 2).ok());
+  ASSERT_TRUE(client.GetDegree(0).ok());
+  EXPECT_EQ(client.api_calls(), 2);
+
+  // A checkpoint taken mid-pagination resumes at the same page.
+  OsnClient resumed(transport_, model);
+  const std::string partial = SavedState(client);
+  EXPECT_EQ(RoundTrip(partial, resumed), partial);
+
+  // The full list pays only the last page; after that the user is free.
+  for (OsnClient* c : {&client, &resumed}) {
+    ASSERT_TRUE(c->GetNeighbors(0).ok());
+    EXPECT_EQ(c->api_calls(), 3);
+    ASSERT_TRUE(c->FetchNeighborsPage(0, 4).ok());
+    ASSERT_TRUE(c->GetNeighbors(0).ok());
+    EXPECT_EQ(c->api_calls(), 3);
+    EXPECT_EQ(c->distinct_users_fetched(), 1);
+  }
+  EXPECT_EQ(SavedState(client), SavedState(resumed));
+}
+
+TEST_F(OsnClientTest, OutOfOrderPageIsChargedButNotCached) {
+  CostModel model;
+  model.page_size = 2;
+  OsnClient client(transport_, model);
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 4).ok());  // last page first
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 4).ok());
+  EXPECT_EQ(client.api_calls(), 2);
+  EXPECT_EQ(client.distinct_users_fetched(), 0);
+  ASSERT_TRUE(client.GetNeighbors(0).ok());  // all three pages
+  EXPECT_EQ(client.api_calls(), 5);
+}
+
+TEST_F(OsnClientTest, PageSizeDriftForgetsPartialListsOnly) {
+  ShapeShiftingTransport shifting(transport_);
+  CostModel model;
+  model.page_size = 2;
+  OsnClient client(shifting, model);
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 0).ok());
+  ASSERT_TRUE(client.FetchNeighborsPage(0, 2).ok());  // 0: 2 of 3 pages
+  ASSERT_TRUE(client.GetNeighbors(1).ok());           // 1: full (1 page)
+  EXPECT_EQ(client.api_calls(), 3);
+
+  // Page size 1: user 0's progress was in old-page units and is dropped
+  // back to its profile page; user 1's full list stays cached.
+  shifting.page_size = 1;
+  ASSERT_TRUE(client.GetNeighbors(1).ok());
+  EXPECT_EQ(client.api_calls(), 3);
+  EXPECT_EQ(client.stats().shape_drifts, 1);
+  ASSERT_TRUE(client.GetNeighbors(0).ok());  // pages 2..5 of 5
+  EXPECT_EQ(client.api_calls(), 7);
+  EXPECT_EQ(client.distinct_users_fetched(), 2);
+}
+
+/// A backend of INT32_MAX users, each with one friend (user 0). Nothing is
+/// stored per user, so only a client that sizes its cache to the users it
+/// touched can be built over it.
+class HugeTransport final : public Transport {
+ public:
+  static constexpr int64_t kUsers = std::numeric_limits<int32_t>::max();
+  Result<UserRecord> FetchRecord(graph::NodeId user) const override {
+    if (user < 0 || user >= kUsers) return NotFoundError("no such user");
+    return UserRecord{1, kFriends, kLabels};
+  }
+  Result<graph::NodeId> SampleSeed(Rng&) const override { return 0; }
+  int64_t num_users() const override { return kUsers; }
+  GraphPriors TransportPriors() const override {
+    return {kUsers, kUsers, kUsers, kUsers};
+  }
+
+ private:
+  static constexpr graph::NodeId kFriends[] = {0};
+  static constexpr graph::Label kLabels[] = {1};
+};
+
+TEST(OsnClientCacheTest, ConstructionIsIndependentOfUserCount) {
+  const HugeTransport transport;
+  OsnClient client(transport);
+  const auto last = static_cast<graph::NodeId>(HugeTransport::kUsers - 1);
+  ASSERT_TRUE(client.GetNeighbors(last).ok());
+  ASSERT_TRUE(client.GetNeighbors(0).ok());
+  ASSERT_TRUE(client.GetDegree(last).ok());
+  EXPECT_EQ(client.api_calls(), 2);
+  EXPECT_EQ(client.distinct_users_fetched(), 2);
+
+  OsnClient resumed(transport);
+  const std::string bytes = SavedState(client);
+  EXPECT_EQ(RoundTrip(bytes, resumed), bytes);
+  ASSERT_TRUE(resumed.GetLabels(last).ok());
+  EXPECT_EQ(resumed.api_calls(), 2);
+}
+
+TEST(OsnClientCacheTest, DeniedUsersAreCachedOnce) {
+  const graph::Graph graph = RandomConnectedGraph(200, 400, 27);
+  const graph::LabelStore labels = RandomLabels(200, 2, 28);
+  const LocalGraphApi transport(graph, labels);
+  FaultPolicy faults;
+  faults.unavailable_user_rate = 0.3;
+  faults.seed = 99;
+  CostModel model;
+  model.batch_size = 8;
+  OsnClient client(transport, model, faults);
+
+  std::vector<graph::NodeId> denied;
+  for (graph::NodeId u = 0; u < 200; ++u) {
+    const auto result = client.GetNeighbors(u);
+    if (!result.ok()) {
+      ASSERT_EQ(result.status().code(), StatusCode::kPermissionDenied);
+      denied.push_back(u);
+    }
+  }
+  ASSERT_FALSE(denied.empty());
+  // Every user cost one call: a served page or the probe that found it
+  // private. Denied users are not served profiles.
+  EXPECT_EQ(client.api_calls(), 200);
+  EXPECT_EQ(client.distinct_users_fetched(),
+            200 - static_cast<int64_t>(denied.size()));
+
+  // Asking again, singly or in a batch, charges nothing.
+  for (const graph::NodeId u : denied) {
+    EXPECT_EQ(client.GetDegree(u).status().code(),
+              StatusCode::kPermissionDenied);
+  }
+  ASSERT_OK_AND_ASSIGN(const auto views, client.FetchUsers(denied));
+  for (const auto& view : views) EXPECT_FALSE(view.available);
+  EXPECT_EQ(client.api_calls(), 200);
+  EXPECT_EQ(client.stats().batch_round_trips, 0);
+
+  // A batch discovers a denied verdict once too.
+  OsnClient batched(transport, model, faults);
+  ASSERT_TRUE(batched.FetchUsers(denied).ok());
+  const int64_t calls = batched.api_calls();
+  EXPECT_EQ(calls, (static_cast<int64_t>(denied.size()) + 7) / 8);
+  for (const graph::NodeId u : denied) {
+    EXPECT_EQ(batched.GetNeighbors(u).status().code(),
+              StatusCode::kPermissionDenied);
+  }
+  EXPECT_EQ(batched.api_calls(), calls);
+  EXPECT_EQ(batched.distinct_users_fetched(), 0);
+}
+
+TEST_F(OsnClientTest, BatchCoalescesDuplicatesAndCachedIds) {
+  CostModel model;
+  model.page_size = 2;
+  model.batch_size = 2;
+  OsnClient client(transport_, model);
+  ASSERT_TRUE(client.GetDegree(1).ok());  // 1's profile is cached
+  EXPECT_EQ(client.api_calls(), 1);
+  // Uncached first pages: {0, 2, 5} -> 2 round trips of 2; then user 0's
+  // two tail pages. Duplicates and user 1 add nothing.
+  const graph::NodeId ids[] = {0, 1, 0, 2, 5, 2, 1, 5, 0};
+  ASSERT_OK_AND_ASSIGN(const auto views, client.FetchUsers(ids));
+  ASSERT_EQ(views.size(), 9u);
+  EXPECT_EQ(client.stats().batch_round_trips, 2);
+  EXPECT_EQ(client.api_calls(), 1 + 2 + 2);
+  EXPECT_EQ(client.distinct_users_fetched(), 4);
+  for (size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i].id, ids[i]);
+    EXPECT_TRUE(views[i].available);
+  }
+  // Everything the batch returned is now cached in full.
+  for (const graph::NodeId u : ids) ASSERT_TRUE(client.GetNeighbors(u).ok());
+  EXPECT_EQ(client.api_calls(), 5);
+}
+
+TEST(OsnClientCacheTest, CacheSurvivesManyRehashes) {
+  // Thousands of distinct users grow the cache through many doublings;
+  // the extreme ids 0 and n-1 and a scrambled order must all survive.
+  constexpr int64_t kUsers = 5000;
+  const graph::Graph graph = RandomConnectedGraph(kUsers, 3 * kUsers, 51);
+  const graph::LabelStore labels = RandomLabels(kUsers, 2, 52);
+  const LocalGraphApi transport(graph, labels);
+  CostModel model;
+  model.page_size = 2;
+  OsnClient client(transport, model);
+
+  std::vector<graph::NodeId> order = {0, kUsers - 1};
+  for (int64_t i = 0; i < kUsers; ++i) {
+    const auto u = static_cast<graph::NodeId>((i * 2713) % kUsers);
+    if (u != 0 && u != kUsers - 1) order.push_back(u);
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(kUsers));
+  int64_t expected_calls = 0;
+  for (const graph::NodeId u : order) {
+    ASSERT_TRUE(client.GetDegree(u).ok());
+    ++expected_calls;
+    if (u % 3 == 0) {
+      ASSERT_TRUE(client.GetNeighbors(u).ok());
+      expected_calls += client.PagesForFull(graph.degree(u)) - 1;
+    }
+  }
+  EXPECT_EQ(client.api_calls(), expected_calls);
+  EXPECT_EQ(client.distinct_users_fetched(), kUsers);
+
+  // Profiles are all cached; full lists of every third user too.
+  for (const graph::NodeId u : order) {
+    ASSERT_TRUE(client.GetLabels(u).ok());
+    if (u % 3 == 0) ASSERT_TRUE(client.GetNeighbors(u).ok());
+  }
+  EXPECT_EQ(client.api_calls(), expected_calls);
+
+  OsnClient resumed(transport, model);
+  const std::string bytes = SavedState(client);
+  EXPECT_EQ(RoundTrip(bytes, resumed), bytes);
+  ASSERT_TRUE(resumed.GetNeighbors(kUsers - 1).ok());
+  ASSERT_TRUE(resumed.GetNeighbors(0).ok());
+  EXPECT_EQ(resumed.api_calls(),
+            expected_calls +
+                ((kUsers - 1) % 3 == 0
+                     ? 0
+                     : client.PagesForFull(graph.degree(kUsers - 1)) - 1));
+}
+
+/// A fixed crawl that leaves every kind of cache entry behind: profiles,
+/// full lists, lists mid-pagination, denied verdicts, partial lists dropped
+/// by a page-size drift, and batch-fetched users.
+std::string GoldenCrawlState() {
+  const graph::Graph graph = RandomConnectedGraph(400, 1600, 61);
+  const graph::LabelStore labels = RandomLabels(400, 2, 62);
+  const LocalGraphApi inner(graph, labels);
+  ShapeShiftingTransport transport(inner);
+  CostModel model;
+  model.page_size = 3;
+  model.batch_size = 4;
+  FaultPolicy faults;
+  faults.unavailable_user_rate = 0.15;
+  faults.transient_error_rate = 0.2;
+  faults.retry_budget = 64;
+  faults.seed = 5;
+  OsnClient client(transport, model, faults);
+  for (graph::NodeId u = 0; u < 400; u += 7) (void)client.GetDegree(u);
+  for (graph::NodeId u = 1; u < 400; u += 11) {
+    const auto page = client.FetchNeighborsPage(u, 0);
+    if (page.ok() && page->next_cursor >= 0) {
+      (void)client.FetchNeighborsPage(u, page->next_cursor);
+    }
+  }
+  for (graph::NodeId u = 2; u < 400; u += 13) (void)client.GetNeighbors(u);
+  const graph::NodeId batch[] = {5, 5, 17, 399, 0, 250, 17, 12, 34};
+  (void)client.FetchUsers(batch);
+  transport.page_size = 2;
+  for (graph::NodeId u = 3; u < 400; u += 17) (void)client.GetNeighbors(u);
+  for (graph::NodeId u = 4; u < 400; u += 19) {
+    const auto page = client.FetchNeighborsPage(u, 0);
+    if (page.ok() && page->next_cursor >= 0) {
+      (void)client.FetchNeighborsPage(u, page->next_cursor);
+    }
+  }
+  std::string bytes = SavedState(client);
+  OsnClient fresh(transport, model, faults);
+  EXPECT_EQ(RoundTrip(bytes, fresh), bytes);
+  return bytes;
+}
+
+TEST(OsnClientCacheTest, GoldenCheckpointBytes) {
+  // The hash pins the checkpoint format: a change here breaks resuming
+  // crawls checkpointed by earlier builds.
+  const std::string bytes = GoldenCrawlState();
+  EXPECT_EQ(util::Fnv1a64(bytes.data(), bytes.size()),
+            0x16f65e56f846a040ULL)
+      << bytes.size() << " bytes";
+}
+
+TEST(OsnClientCacheTest, GoldenCheckpointAfterUncachedAbort) {
+  // With caching off, a full list re-fetched page by page and cut short by
+  // the budget leaves a partial-pagination entry beside the full one; the
+  // checkpoint carries both.
+  const graph::Graph graph = RandomConnectedGraph(100, 400, 71);
+  const graph::LabelStore labels = RandomLabels(100, 2, 72);
+  const LocalGraphApi transport(graph, labels);
+  graph::NodeId hub = 0;
+  for (graph::NodeId u = 0; u < 100; ++u) {
+    if (graph.degree(u) > graph.degree(hub)) hub = u;
+  }
+  ASSERT_GE(graph.degree(hub), 7);
+  CostModel model;
+  model.page_size = 2;
+  model.cache_fetches = false;
+  FaultPolicy faults;
+  faults.transient_error_rate = 0.1;
+  faults.retry_budget = 64;
+  faults.seed = 9;
+  int64_t first_call_cost = 0;
+  {
+    OsnClient probe(transport, model, faults);
+    ASSERT_TRUE(probe.GetNeighbors(hub).ok());
+    first_call_cost = probe.api_calls();
+  }
+  OsnClient client(transport, model, faults, first_call_cost + 2);
+  ASSERT_TRUE(client.GetNeighbors(hub).ok());
+  EXPECT_EQ(client.GetNeighbors(hub).status().code(),
+            StatusCode::kResourceExhausted);
+  const std::string bytes = SavedState(client);
+  OsnClient fresh(transport, model, faults, first_call_cost + 2);
+  EXPECT_EQ(RoundTrip(bytes, fresh), bytes);
+  EXPECT_EQ(util::Fnv1a64(bytes.data(), bytes.size()),
+            0x74e0a16f1978738cULL)
+      << bytes.size() << " bytes";
 }
 
 }  // namespace

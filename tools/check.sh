@@ -141,6 +141,36 @@ wait "$SERVERD_PID" || {
   exit 1
 }
 
+echo "== daemon shutdown at readiness (20 daemons) =="
+# Each daemon is sent SIGTERM the moment its ready file appears. It must
+# exit 0 and leave neither the ready file nor its shm slab behind.
+for i in $(seq 1 20); do
+  READY="$SERVER_DIR/ready-$i"
+  READY_SHM="/labelrw-check-$$-$i"
+  "$BUILD_DIR/labelrw_serverd" --manifest="$SERVER_DIR/smoke.manifest" \
+    --shm="$READY_SHM" --ready-file="$READY" --quiet &
+  READY_PID=$!
+  READY_DEADLINE=$((SECONDS + 10))
+  until [[ -e "$READY" ]]; do
+    if ! kill -0 "$READY_PID" 2>/dev/null || ((SECONDS >= READY_DEADLINE)); then
+      echo "readiness loop: daemon $i never became ready" >&2
+      kill "$READY_PID" 2>/dev/null || true
+      exit 1
+    fi
+  done
+  kill -TERM "$READY_PID"
+  READY_RC=0
+  wait "$READY_PID" || READY_RC=$?
+  if [[ "$READY_RC" -ne 0 ]]; then
+    echo "readiness loop: daemon $i exited $READY_RC on SIGTERM" >&2
+    exit 1
+  fi
+  if [[ -e "$READY" || -e "/dev/shm$READY_SHM" ]]; then
+    echo "readiness loop: daemon $i left its ready file or slab behind" >&2
+    exit 1
+  fi
+done
+
 echo "== traffic smoke (bench_traffic: 1k tenants, cross-thread identity) =="
 # One 1,000-tenant cell of the multi-tenant traffic engine against the
 # smoke store, run at sweep worker counts {1,2,4}; exits nonzero if the

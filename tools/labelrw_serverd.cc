@@ -113,6 +113,9 @@ void InstallSignalHandlers() {
 /// stop. Returns the process exit code.
 int ServeOnce(const server::ServerOptions& options,
               const std::string& ready_file, int64_t drain_timeout_ms) {
+  // Handlers go in before the slab exists: a SIGTERM that lands the moment
+  // the ready file appears must still drain, unlink the slab and exit 0.
+  InstallSignalHandlers();
   server::CrawlServer crawl_server;
   const Status started = crawl_server.Start(options);
   if (!started.ok()) {
@@ -128,7 +131,6 @@ int ServeOnce(const server::ServerOptions& options,
     }
   }
 
-  InstallSignalHandlers();
   while (g_signal.load(std::memory_order_relaxed) == 0) {
     ::usleep(100'000);
   }
