@@ -102,7 +102,7 @@ void OsnClient::RefreshShape() {
     // A page-size change invalidates every outstanding pagination cursor:
     // partial per-user progress was measured in old-page units. Fully
     // cached lists and cached profiles stay valid (the data is local).
-    cache_.ForEach([](PageCache::Entry& e) { e.partial = 0; });
+    for (auto& [user, entry] : cache_) entry.partial = 0;
   }
   if (batch != effective_batch_size_) {
     effective_batch_size_ = batch;
@@ -256,14 +256,14 @@ Status OsnClient::FetchChargedCall() {
   return UnavailableError("transient OSN error: retry budget exhausted");
 }
 
-int64_t OsnClient::FetchedPages(const PageCache::Entry& entry,
+int64_t OsnClient::FetchedPages(const CachedPages& entry,
                                 int64_t total_pages) {
   if (entry.full) return total_pages;
   if (entry.partial > 0) return entry.partial;
   return entry.profile ? 1 : 0;
 }
 
-void OsnClient::RecordFetched(PageCache::Entry& entry, int64_t pages_now,
+void OsnClient::RecordFetched(CachedPages& entry, int64_t pages_now,
                               int64_t total_pages) {
   if (pages_now <= 0) return;
   if (!entry.profile) {
@@ -282,9 +282,9 @@ Status OsnClient::ChargeFetch(graph::NodeId user, int64_t degree,
                               bool need_full) {
   const int64_t total_pages = PagesForFull(degree);
   const int64_t need = need_full ? total_pages : 1;
-  // One probe: the charge below never touches the cache, so the entry
-  // stays valid for the RecordFetched calls.
-  PageCache::Entry& entry = cache_.Upsert(user);
+  // One lookup: the charge below never touches the cache, and the map's
+  // references are stable, so the entry serves every RecordFetched call.
+  CachedPages& entry = cache_[user];
   const int64_t cached =
       cost_model_.cache_fetches ? FetchedPages(entry, total_pages) : 0;
   const int64_t pages_to_fetch = need - cached;
@@ -319,10 +319,11 @@ Status OsnClient::CheckAvailable(graph::NodeId user) {
   // The probe that discovers a private profile costs a call once; the
   // verdict is cached like a page (denied users never become available, so
   // the flag can share the profile entry without ambiguity).
-  const PageCache::Entry* cached = cache_.Find(user);
-  if (!(cost_model_.cache_fetches && cached != nullptr && cached->profile)) {
+  const auto cached = cache_.find(user);
+  if (!(cost_model_.cache_fetches && cached != cache_.end() &&
+        cached->second.profile)) {
     LABELRW_RETURN_IF_ERROR(FetchChargedCall());
-    cache_.Upsert(user).profile = true;
+    cache_[user].profile = true;
   }
   return PermissionDeniedError("user profile is private or deleted");
 }
@@ -396,7 +397,7 @@ Result<OsnClient::NeighborPage> OsnClient::FetchNeighborsPage(
         "FetchNeighborsPage: pagination disabled, cursor must be 0");
   }
 
-  PageCache::Entry& entry = cache_.Upsert(user);
+  CachedPages& entry = cache_[user];
   const int64_t cached =
       cost_model_.cache_fetches ? FetchedPages(entry, total_pages) : 0;
   if (page_idx >= cached) {
@@ -450,8 +451,8 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
   std::unordered_set<graph::NodeId> counted;
   for (size_t i = 0; i < users.size(); ++i) {
     if (cost_model_.cache_fetches) {
-      const PageCache::Entry* cached = cache_.Find(users[i]);
-      if ((cached != nullptr && cached->profile) ||
+      const auto cached = cache_.find(users[i]);
+      if ((cached != cache_.end() && cached->second.profile) ||
           !counted.insert(users[i]).second) {
         continue;
       }
@@ -473,7 +474,7 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
         std::min(to_fetch.size(), start + static_cast<size_t>(batch));
     for (size_t j = start; j < end; ++j) {
       const graph::NodeId user = users[to_fetch[j]];
-      PageCache::Entry& entry = cache_.Upsert(user);
+      CachedPages& entry = cache_[user];
       if (IsUnavailableUser(user)) {
         // Cache the denied verdict without counting a served profile,
         // exactly like pass 3 does.
@@ -489,7 +490,7 @@ Result<std::vector<OsnClient::UserView>> OsnClient::FetchUsers(
     const graph::NodeId user = users[i];
     UserView view;
     view.id = user;
-    PageCache::Entry& entry = cache_.Upsert(user);
+    CachedPages& entry = cache_[user];
     if (IsUnavailableUser(user)) {
       ++stats_.denied_requests;
       entry.profile = true;  // cache the verdict, not the user
@@ -549,18 +550,19 @@ void WriteIds(util::ByteWriter& w, std::vector<graph::NodeId>& ids) {
   for (const graph::NodeId id : ids) w.I64(id);
 }
 
-/// Reads one id list, setting `flag` on each listed user's entry.
-Status ReadIds(util::ByteReader& r, PageCache& cache,
-               bool PageCache::Entry::*flag, int64_t num_users) {
+/// Reads one id list, checking every id against `num_users`.
+Status ReadIds(util::ByteReader& r, int64_t num_users,
+               std::vector<graph::NodeId>* ids) {
   uint64_t count = 0;
   LABELRW_RETURN_IF_ERROR(r.U64(&count));
+  ids->clear();
   for (uint64_t i = 0; i < count; ++i) {
     int64_t id = 0;
     LABELRW_RETURN_IF_ERROR(r.I64(&id));
     if (id < 0 || id >= num_users) {
       return DataLossError("client checkpoint: cached user id out of range");
     }
-    cache.Upsert(static_cast<graph::NodeId>(id)).*flag = true;
+    ids->push_back(static_cast<graph::NodeId>(id));
   }
   return Status::Ok();
 }
@@ -601,11 +603,11 @@ void OsnClient::SaveState(util::ByteWriter& w) const {
   std::vector<graph::NodeId> profile;
   std::vector<graph::NodeId> full;
   std::vector<std::pair<graph::NodeId, int64_t>> partial;
-  cache_.ForEach([&](const PageCache::Entry& e) {
-    if (e.profile) profile.push_back(e.user);
-    if (e.full) full.push_back(e.user);
-    if (e.partial > 0) partial.emplace_back(e.user, e.partial);
-  });
+  for (const auto& [user, e] : cache_) {
+    if (e.profile) profile.push_back(user);
+    if (e.full) full.push_back(user);
+    if (e.partial > 0) partial.emplace_back(user, e.partial);
+  }
   WriteIds(w, profile);
   WriteIds(w, full);
   std::sort(partial.begin(), partial.end());
@@ -673,11 +675,12 @@ Status OsnClient::RestoreState(util::ByteReader& r) {
         "rate limit configured");
   }
   const int64_t num_users = transport_.num_users();
-  cache_.Clear();
-  LABELRW_RETURN_IF_ERROR(
-      ReadIds(r, cache_, &PageCache::Entry::profile, num_users));
-  LABELRW_RETURN_IF_ERROR(
-      ReadIds(r, cache_, &PageCache::Entry::full, num_users));
+  cache_.clear();
+  std::vector<graph::NodeId> ids;
+  LABELRW_RETURN_IF_ERROR(ReadIds(r, num_users, &ids));
+  for (const graph::NodeId id : ids) cache_[id].profile = true;
+  LABELRW_RETURN_IF_ERROR(ReadIds(r, num_users, &ids));
+  for (const graph::NodeId id : ids) cache_[id].full = true;
   uint64_t partial_count = 0;
   LABELRW_RETURN_IF_ERROR(r.U64(&partial_count));
   for (uint64_t i = 0; i < partial_count; ++i) {
@@ -688,7 +691,7 @@ Status OsnClient::RestoreState(util::ByteReader& r) {
     if (user < 0 || user >= num_users || pages <= 0) {
       return DataLossError("client checkpoint: bad partial-pagination entry");
     }
-    cache_.Upsert(static_cast<graph::NodeId>(user)).partial = pages;
+    cache_[static_cast<graph::NodeId>(user)].partial = pages;
   }
   return Status::Ok();
 }

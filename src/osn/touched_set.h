@@ -8,8 +8,8 @@
 // reset O(1) (bump the epoch; all stale stamps become "absent") and lets a
 // worker thread reuse one backing buffer across every rep it executes.
 //
-// OsnClient does not use it: its crawl cache (osn/page_cache.h) is sized to
-// the users a session touched, not to the graph.
+// OsnClient does not use it: its crawl cache (a hash map, osn/client.h) is
+// sized to the users a session touched, not to the graph.
 
 #ifndef LABELRW_OSN_TOUCHED_SET_H_
 #define LABELRW_OSN_TOUCHED_SET_H_

@@ -420,9 +420,6 @@ void CrawlServer::WorkerLoop(uint32_t worker_index) {
   const uint32_t num_workers = options_.num_workers;
   FetchBatch batch;
   batch.slots.reserve(options_.num_slots);
-  // Worker 0 reaps once per tick, not once per wake: under load a wake
-  // would otherwise pay a claim CAS and a pid probe per occupied slot.
-  int64_t last_reap_us = -kWorkerTickNs / 1'000;  // reap on the first wake
   while (header_->alive.load(std::memory_order_acquire) != 0) {
     // The ticket is read BEFORE the scan: a request posted during the scan
     // bumps the doorbell past it, so the wait below returns immediately
@@ -478,10 +475,7 @@ void CrawlServer::WorkerLoop(uint32_t worker_index) {
     if (worker_index == 0) {
       const int64_t now_us = ShmNowUs();
       header_->heartbeat_us.store(now_us, std::memory_order_relaxed);
-      if (now_us - last_reap_us >= kWorkerTickNs / 1'000) {
-        ReapPass(now_us);
-        last_reap_us = now_us;
-      }
+      ReapPass(now_us);
     }
     // saw_pending covers the claim-lost case too: another worker holds the
     // slot, so spin once more instead of sleeping on a doorbell that will
